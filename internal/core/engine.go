@@ -103,12 +103,10 @@ type Engine struct {
 	selected int
 
 	// pool fans Step's per-mode NUISE runs out when cfg.Workers resolves
-	// to more than one; nil engines step sequentially. scratch holds one
-	// matrix arena per mode — a mode is exactly one job per Step, so
-	// per-mode ownership makes arena reuse race-free by construction and
-	// keeps each arena's shape sequence stable across iterations.
-	pool    *workerPool
-	scratch []*mat.Scratch
+	// to more than one; nil engines step sequentially. arenas holds, per
+	// mode, the shared pool its NUISE steps borrow scratch arenas from.
+	pool   *workerPool
+	arenas []*sync.Pool
 
 	// spd caches Cholesky factors of the covariances tested during one
 	// Step's weight update (per-sensor anomaly blocks, Pa), so the
@@ -188,9 +186,13 @@ func NewEngine(plant Plant, modes []*Mode, x0 mat.Vec, p0 *mat.Mat, cfg EngineCo
 		xm[i] = x0.Clone()
 		pxm[i] = p0.Clone()
 	}
-	scratch := make([]*mat.Scratch, len(modes))
-	for i := range scratch {
-		scratch[i] = mat.NewScratch()
+	arenas := make([]*sync.Pool, len(modes))
+	for i, m := range modes {
+		key := arenaKey{n: n, q: plant.Model.ControlDim(), p2: m.Reference.Dim()}
+		if m.testingStacked != nil {
+			key.p1 = m.testingStacked.Dim()
+		}
+		arenas[i] = arenaPool(key)
 	}
 	e := &Engine{
 		plant:   plant,
@@ -201,7 +203,7 @@ func NewEngine(plant Plant, modes []*Mode, x0 mat.Vec, p0 *mat.Mat, cfg EngineCo
 		xm:      xm,
 		pxm:     pxm,
 		cfg:     cfg,
-		scratch: scratch,
+		arenas:  arenas,
 		spd:     mat.NewCholCache(),
 		obs:     cfg.Observer,
 	}
@@ -543,6 +545,30 @@ func (e *Engine) commit(perMode []*Result, stepStart time.Time, fallbacks0 int64
 	return out, nil
 }
 
+// arenaKey is the shape signature of a mode's NUISE step: state,
+// control, reference and testing dimensions. Steps with one signature
+// request the same sequence of matrix shapes, so an arena that serves
+// only them finds each buffer at its first probe.
+type arenaKey struct{ n, q, p2, p1 int }
+
+// arenaPools maps each arenaKey to the pool of NUISE scratch arenas
+// that every mode with that signature, in any engine, borrows from for
+// one step at a time. A step owns its arena from Get to Put, and
+// NUISEScratch resets the arena and hands out zeroed matrices and a
+// Result that owns none of them, so nothing crosses from one step to
+// the next: an arena last used by another engine gives bit-identical
+// results. Sharing sizes the arenas by the steps running at once rather
+// than by every mode of every live engine.
+var arenaPools sync.Map
+
+func arenaPool(key arenaKey) *sync.Pool {
+	if p, ok := arenaPools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := arenaPools.LoadOrStore(key, &sync.Pool{New: func() any { return mat.NewScratch() }})
+	return p.(*sync.Pool)
+}
+
 // stepMode runs mode i's NUISE for this iteration. It writes only index
 // i of perMode — disjoint slots per mode — so the bank fans out without
 // locks; the mode's private belief (e.xm, e.pxm) is read here but
@@ -565,7 +591,9 @@ func (e *Engine) stepMode(i int, u mat.Vec, readings map[string]mat.Vec, perMode
 			testing, z1 = nil, nil
 		}
 	}
-	res, err := NUISEScratch(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, e.scratch[i])
+	sc := e.arenas[i].Get().(*mat.Scratch)
+	res, err := NUISEScratch(e.plant, m.Reference, testing, u, e.xm[i], e.pxm[i], z1, z2, sc)
+	e.arenas[i].Put(sc)
 	if err != nil {
 		return
 	}

@@ -247,12 +247,11 @@ func (m *Manager) processBatch(db *detect.DetectorBatch, items []batchItem) {
 		}
 	}
 
-	for idx := range items {
+	for idx, it := range items {
 		if appended[idx] > 0 {
 			// Wake the replication stream before the commit barriers so
 			// the follower's fsync overlaps the group's.
-			m.replNotify()
-			break
+			m.replNotify(it.s.info.ID)
 		}
 	}
 	for idx, it := range items {
@@ -273,15 +272,15 @@ func (m *Manager) processBatch(db *detect.DetectorBatch, items []batchItem) {
 						}
 					}
 				}
-				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-					m.persistSnapshot(s)
-				}
 				if werr := m.waitFollowerAck(s); werr != nil {
 					for i := range results[idx] {
 						if results[idx][i].Err == nil {
 							results[idx][i] = FrameResult{Err: werr}
 						}
 					}
+				}
+				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
+					m.persistSnapshot(s)
 				}
 			}
 		}

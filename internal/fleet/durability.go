@@ -156,6 +156,11 @@ func (m *Manager) initDurable(id string, spec Spec, stepper Stepper, info Sessio
 		m.store.Remove(id)
 		return nil, err
 	}
+	// A proposed ID may name a session deleted since the replication
+	// stream last looked: void its cursor so the new snapshot ships.
+	if m.repl != nil {
+		m.repl.mark(id, true)
+	}
 	return ds, nil
 }
 
@@ -279,10 +284,7 @@ func validateIdentity(info SessionInfo, snap *store.Snapshot) error {
 // restored is an operator problem, not something to drop silently.
 // Called from NewManager before the shard workers start.
 func (m *Manager) recoverSessions() error {
-	ids, err := m.store.Sessions()
-	if err != nil {
-		return err
-	}
+	ids := m.store.Sessions()
 	var recovered []*session
 	abort := func(err error) error {
 		for _, s := range recovered {

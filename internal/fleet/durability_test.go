@@ -169,6 +169,7 @@ func TestFleetEvictionPersistsAndRestores(t *testing.T) {
 	got := stepAll(t, m, info.ID, frames[:25])
 
 	clock = clock.Add(2 * time.Hour)
+	waitUnscheduled(t, m, info.ID)
 	m.evictIdle()
 	if _, err := m.Info(info.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("evicted session Info = %v, want ErrSessionNotFound", err)

@@ -784,7 +784,7 @@ func (m *Manager) process(s *session, job frameJob) {
 		if appended > 0 {
 			// Wake the replication stream before the local commit
 			// barrier: the follower's fsync overlaps ours.
-			m.replNotify()
+			m.replNotify(s.info.ID)
 		}
 		if s.ds != nil && appended > 0 {
 			if cerr := s.ds.Commit(appended); cerr != nil {
@@ -811,13 +811,6 @@ func (m *Manager) process(s *session, job frameJob) {
 						}
 					}
 				}
-				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
-					// Checkpoint cadence runs after the commit barrier so
-					// WAL rotation never discards un-fsynced appends. The
-					// frames are already durable; a failed checkpoint only
-					// postpones compaction, so it does not fail the batch.
-					m.persistSnapshot(s)
-				}
 				if werr := m.waitFollowerAck(s); werr != nil {
 					// AckFollower: the follower never confirmed its own
 					// fsync of these frames, so a success reply would
@@ -827,6 +820,16 @@ func (m *Manager) process(s *session, job frameJob) {
 							results[i] = FrameResult{Err: werr}
 						}
 					}
+				}
+				if m.snapshotEvery > 0 && s.ds.SinceSnapshot() >= m.snapshotEvery {
+					// Checkpoint cadence runs after the commit barrier so
+					// WAL rotation never discards un-fsynced appends, and
+					// after the follower ack so the shipper has read the
+					// old segment to its end and follows the rotation
+					// without a full read. The frames are already durable;
+					// a failed checkpoint only postpones compaction, so it
+					// does not fail the batch.
+					m.persistSnapshot(s)
 				}
 			}
 		}

@@ -292,10 +292,23 @@ func TestFleetIdleEviction(t *testing.T) {
 		t.Fatalf("just-active session evicted: %v", err)
 	}
 	clock = clock.Add(2 * time.Hour)
+	waitUnscheduled(t, m, busy.ID)
 	m.evictIdle()
 	if _, err := m.Info(busy.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("idle session survived: %v", err)
 	}
+}
+
+// waitUnscheduled waits until no shard worker holds session id. A
+// worker sends the reply before it releases the session, and eviction
+// skips sessions still scheduled, so a test that evicts right after a
+// reply must wait for the release.
+func waitUnscheduled(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	m.mu.Lock()
+	s := m.sessions[id]
+	m.mu.Unlock()
+	waitFor(t, "the worker to release "+id, func() bool { return !s.scheduled.Load() })
 }
 
 // TestFleetCloseAnswersQueuedFrames pins the session-close contract:

@@ -98,7 +98,7 @@ func (m *Manager) Migrate(ctx context.Context, id, target string) (api.MigrateRe
 func (m *Manager) exportSession(s *session) (snapshot []byte, frames []*trace.Frame, applied int, err error) {
 	id := s.info.ID
 	if s.ds != nil {
-		batch, err := m.store.ReplicaRead(id, -1)
+		batch, err := m.store.ReplicaRead(id, -1, nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -168,6 +168,12 @@ func (m *Manager) ImportSession(snapshot []byte, frames []*trace.Frame) (Session
 	if m.store != nil {
 		err = m.store.Materialize(id, snapshot, frames)
 		if err == nil {
+			// New files under an ID the replication stream may have
+			// shipped before (a session migrating back): void its cursor
+			// so the snapshot ships again.
+			if m.repl != nil {
+				m.repl.mark(id, true)
+			}
 			s, _, err = m.rebuildSession(id)
 			if err != nil {
 				m.store.Remove(id)

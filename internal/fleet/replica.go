@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"roboads/internal/api"
+	"roboads/internal/store"
 	"roboads/internal/telemetry"
 )
 
@@ -32,6 +34,11 @@ const (
 	MetricReplDegraded = "roboads_fleet_repl_degraded_total"
 	// MetricReplAckWait is the AckFollower wait latency histogram.
 	MetricReplAckWait = "roboads_fleet_repl_ack_wait_seconds"
+	// MetricReplFullReads counts replication reads that decoded a
+	// session's newest snapshot and whole WAL instead of tailing it:
+	// one cold start per session new to a stream, plus every fallback
+	// from a tail that could not be followed. Flat in steady state.
+	MetricReplFullReads = "roboads_fleet_repl_full_reads_total"
 )
 
 // replWaiter is one frame batch blocked on a follower ack.
@@ -41,9 +48,9 @@ type replWaiter struct {
 	ch      chan struct{}
 }
 
-// replHub coordinates the primary side of replication: the shipper
-// stream wakes on notify after WAL appends, and AckFollower commits wait
-// on acked high-water marks per session.
+// replHub coordinates the primary side of replication: WAL appends mark
+// their session dirty and wake the shipper stream, and AckFollower
+// commits wait on acked high-water marks per session.
 type replHub struct {
 	notify chan struct{} // cap 1: coalesced wakeups for the shipper
 
@@ -52,21 +59,32 @@ type replHub struct {
 	connected bool           // a follower stream is currently attached
 	acked     map[string]int // per-session highest follower-acked frame seq
 	waiters   []replWaiter
+	// dirty is the live stream's work set for its next round: sessions
+	// appended to since its last take, true for a session whose files
+	// were replaced (import), which voids the stream's cursor for it.
+	dirty map[string]bool
+
+	// onRound, when set (tests), receives the sessions each shipper
+	// round read.
+	onRound func(read []string)
 
 	mFollowers *telemetry.Gauge
 	mShipped   *telemetry.Counter
 	mDegraded  *telemetry.Counter
 	mAckWait   *telemetry.Histogram
+	mFullReads *telemetry.Counter
 }
 
 func newReplHub(reg *telemetry.Registry) *replHub {
 	return &replHub{
 		notify:     make(chan struct{}, 1),
 		acked:      make(map[string]int),
+		dirty:      make(map[string]bool),
 		mFollowers: reg.Gauge(MetricReplFollowers, "Connected replication followers."),
 		mShipped:   reg.Counter(MetricReplShipped, "Frame records shipped to followers."),
 		mDegraded:  reg.Counter(MetricReplDegraded, "AckFollower frames acked without a follower connected."),
 		mAckWait:   reg.Histogram(MetricReplAckWait, "AckFollower wait latency in seconds.", telemetry.LatencyBuckets()),
+		mFullReads: reg.Counter(MetricReplFullReads, "Replication reads of a whole snapshot and WAL instead of the WAL tail."),
 	}
 }
 
@@ -79,15 +97,47 @@ func (h *replHub) wake() {
 	}
 }
 
+// mark adds a session to the live stream's work set and wakes the
+// stream; replaced voids the stream's cursor for it, and the follower's
+// ack mark, which counted frames of the session's previous files.
+// Without a stream the mark is dropped: a new stream's first round
+// visits every session.
+func (h *replHub) mark(id string, replaced bool) {
+	h.mu.Lock()
+	if h.connected {
+		h.dirty[id] = h.dirty[id] || replaced
+	}
+	if replaced {
+		delete(h.acked, id)
+	}
+	h.mu.Unlock()
+	h.wake()
+}
+
+// take hands stream gen the work set accumulated since its last take,
+// installing empty (cleared by the caller) in its place. ok is false
+// once gen is superseded; the stream must exit.
+func (h *replHub) take(gen int, empty map[string]bool) (dirty map[string]bool, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if gen != h.gen {
+		return empty, false
+	}
+	dirty, h.dirty = h.dirty, empty
+	return dirty, true
+}
+
 // connect registers a new follower stream, superseding any previous one,
 // and returns the stream's generation token. The ack marks reset: the
-// new follower confirms durability from its own cursors forward.
+// new follower confirms durability from its own cursors forward. So
+// does the work set: the new stream's first round visits every session.
 func (h *replHub) connect() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.gen++
 	h.connected = true
 	h.acked = make(map[string]int)
+	clear(h.dirty)
 	h.mFollowers.Set(1)
 	return h.gen
 }
@@ -107,13 +157,6 @@ func (h *replHub) disconnect(gen int) {
 		close(w.ch)
 	}
 	h.waiters = nil
-}
-
-// current reports whether gen is still the live stream.
-func (h *replHub) current(gen int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return gen == h.gen
 }
 
 // ack records the follower's durable high-water mark for one session and
@@ -155,10 +198,9 @@ func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) erro
 	h.waiters = append(h.waiters, w)
 	h.mu.Unlock()
 
+	// The append's replNotify already put the session in the stream's
+	// work set and woke it.
 	start := time.Now()
-	// The commit that precedes this wait flushed the WAL; make sure the
-	// shipper is awake to read the tail it is about to confirm.
-	h.wake()
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
@@ -186,12 +228,12 @@ func (h *replHub) waitAcked(session string, seq int, timeout time.Duration) erro
 	}
 }
 
-// replNotify wakes the replication shipper after WAL appends. Called on
-// the frame path before the local commit barrier so the follower's fsync
-// overlaps the primary's.
-func (m *Manager) replNotify() {
+// replNotify marks session id for the replication shipper after WAL
+// appends and wakes it. Called on the frame path before the local
+// commit barrier so the follower's fsync overlaps the primary's.
+func (m *Manager) replNotify(id string) {
 	if m.repl != nil {
-		m.repl.wake()
+		m.repl.mark(id, false)
 	}
 }
 
@@ -253,43 +295,97 @@ func (m *Manager) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	// cursors tracks what this stream has shipped per session (absolute
 	// frame seq; missing = nothing). Seeded from the follower's hello so
-	// an already-synced follower gets the tail only.
-	cursors := make(map[string]int)
+	// an already-synced follower gets the tail only. tails holds the
+	// stream's WAL position in every session it has visited.
+	cursors := make(map[string]int, len(hello.Cursors))
 	for id, seq := range hello.Cursors {
 		cursors[id] = seq
 	}
-	var lastSessions string
+	tails := make(map[string]*store.ReplicaTail)
+	// visit is the round's work set: sessions appended to since the last
+	// round, new to the stream, replaced (true), or whose last read
+	// failed. A round costs the frames appended to them, not the store.
+	visit := make(map[string]bool)
+	spare := make(map[string]bool)
+	var shipped []string // the last sessions record sent
+	var listGen uint64
+	listed := false
+	var read []string
 	idle := time.NewTicker(250 * time.Millisecond)
 	defer idle.Stop()
 	lastSend := time.Now()
 	for {
-		if !m.repl.current(gen) || m.state.Load() != stateRunning {
+		if m.state.Load() != stateRunning {
 			return
 		}
-		ids, err := m.store.Sessions()
-		if err != nil {
+		dirty, ok := m.repl.take(gen, spare)
+		if !ok {
 			return
 		}
+		for id, replaced := range dirty {
+			visit[id] = visit[id] || replaced
+		}
+		clear(dirty)
+		spare = dirty
 		sent := false
-		// A changed session listing is shipped first so the follower can
-		// prune sessions deleted or migrated away on the primary.
-		if key := fmt.Sprint(ids); key != lastSessions {
-			if enc.Encode(api.ReplRecord{Type: "sessions", Sessions: ids}) != nil {
-				return
+		// Read the generation before the listing: a change racing the
+		// read bumps it again, so the next round re-lists.
+		if g := m.store.SessionsGen(); !listed || g != listGen {
+			listGen, listed = g, true
+			ids := m.store.Sessions()
+			present := make(map[string]bool, len(ids))
+			for _, id := range ids {
+				present[id] = true
+				if _, seen := tails[id]; !seen && !visit[id] {
+					visit[id] = false
+				}
 			}
-			lastSessions = key
-			sent = true
+			for id := range tails {
+				if !present[id] {
+					delete(tails, id)
+					delete(cursors, id)
+					delete(visit, id)
+				}
+			}
+			// A changed session listing is shipped first so the follower
+			// can prune sessions deleted or migrated away on the primary.
+			if !slices.Equal(ids, shipped) {
+				if enc.Encode(api.ReplRecord{Type: "sessions", Sessions: ids}) != nil {
+					return
+				}
+				shipped = ids
+				sent = true
+			}
 		}
-		for _, id := range ids {
+		read = read[:0]
+		for id, replaced := range visit {
+			t := tails[id]
+			if t == nil || replaced {
+				// New to the stream, or its files were replaced: read it
+				// cold (from nothing, when replaced).
+				t = new(store.ReplicaTail)
+				tails[id] = t
+			}
+			if replaced {
+				delete(cursors, id)
+				visit[id] = false
+			}
 			cur, known := cursors[id]
 			if !known {
 				cur = -1
 			}
-			batch, err := m.store.ReplicaRead(id, cur)
+			batch, err := m.store.ReplicaRead(id, cur, t)
 			if err != nil {
-				// Mid-create, mid-remove, or torn view: skip this round,
-				// the next wakeup sees a settled directory.
+				// Mid-create, mid-remove, or torn view: keep it in the
+				// work set, the next round sees a settled directory.
 				continue
+			}
+			delete(visit, id)
+			if m.repl.onRound != nil {
+				read = append(read, id)
+			}
+			if batch.Full {
+				m.repl.mFullReads.Inc()
 			}
 			if batch.Snapshot != nil {
 				if enc.Encode(api.ReplRecord{Type: "snapshot", Session: id, Seq: batch.Base, Snapshot: batch.Snapshot}) != nil {
@@ -306,6 +402,9 @@ func (m *Manager) handleReplicate(w http.ResponseWriter, r *http.Request) {
 				m.repl.mShipped.Inc()
 				sent = true
 			}
+		}
+		if m.repl.onRound != nil {
+			m.repl.onRound(read)
 		}
 		if sent {
 			lastSend = time.Now()

@@ -264,8 +264,8 @@ func mustDistinct(dst, a, b *Mat) {
 // Mat hands out zeroed matrices; Reset makes every matrix handed out so
 // far reusable again. After one warm pass with a stable shape sequence,
 // further passes allocate nothing. A Scratch is not safe for concurrent
-// use; the engine keeps one per mode so each NUISE instance owns its
-// arena (modes never run concurrently with themselves).
+// use; the engine borrows one from a shared pool for each NUISE step, so
+// a step owns its arena exclusively from borrow to return.
 type Scratch struct {
 	mats []*Mat
 	next int

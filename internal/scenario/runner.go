@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"roboads/internal/attack"
@@ -362,7 +363,15 @@ func aggregate(sc *Scenario, trials []trialStats) Result {
 	if len(trials) == 0 {
 		return r
 	}
+	// Targets in sorted order: delaySum is a floating-point sum, so
+	// map iteration order would change MeanDelaySec's last bit from
+	// call to call once three or more targets are detected.
+	targets := make([]string, 0, len(trials[0].onsets))
 	for target := range trials[0].onsets {
+		targets = append(targets, target)
+	}
+	slices.Sort(targets)
+	for _, target := range targets {
 		stats := TargetStats{Onset: trials[0].onsets[target], DelaySec: -1}
 		var delays []metrics.Delay
 		for _, ts := range trials {

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -190,5 +191,47 @@ func TestRecordConversion(t *testing.T) {
 	}
 	if !biasRow {
 		t.Fatal("missing ips-bias row")
+	}
+}
+
+// TestMeanDelayDeterministic pins that a result's mean detection delay
+// does not depend on map iteration order: coordinated-campaign at seed
+// 4000 detects three targets, and summing their delays in a varying
+// order moved MeanDelaySec by one ulp between identical runs.
+func TestMeanDelayDeterministic(t *testing.T) {
+	s, err := scenario.Default(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc *scenario.Scenario
+	for i := range s.Scenarios {
+		if s.Scenarios[i].Name == "coordinated-campaign" {
+			sc = &s.Scenarios[i]
+		}
+	}
+	if sc == nil {
+		t.Fatal("default suite has no coordinated-campaign scenario")
+	}
+	var first uint64
+	for run := 0; run < 12; run++ {
+		r, err := scenario.RunOne(*sc, s.Seed, scenario.RunConfig{Trials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		detected := 0
+		for _, ts := range r.Targets {
+			if ts.DelaySec >= 0 {
+				detected++
+			}
+		}
+		if detected < 3 {
+			t.Fatalf("run %d detected %d targets; the pin needs at least 3", run, detected)
+		}
+		bits := math.Float64bits(r.MeanDelaySec)
+		if run == 0 {
+			first = bits
+		} else if bits != first {
+			t.Fatalf("run %d: MeanDelaySec %v, run 0 gave %v", run, r.MeanDelaySec, math.Float64frombits(first))
+		}
 	}
 }

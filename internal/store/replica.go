@@ -30,6 +30,22 @@ type ReplicaBatch struct {
 	// FirstSeq is the absolute sequence number of Frames[0]; frame i
 	// has sequence FirstSeq+i.
 	FirstSeq int
+	// Full reports a full read: the newest snapshot and its whole WAL
+	// were read and decoded, because the reader had no positioned tail
+	// (cold start) or its tail could not be followed (fallback).
+	Full bool
+}
+
+// ReplicaTail is one reader's position in a session's WAL, carried from
+// one ReplicaRead to the next so that a reader who keeps up decodes only
+// the records appended since its last read. The zero value is
+// unpositioned; ReplicaRead positions it. A tail belongs to one reader
+// of one session and is not safe for concurrent use.
+type ReplicaTail struct {
+	inc uint64 // incarnation of the session's files; 0: unpositioned
+	seg int    // generation (snapshot FramesApplied) of the tailed segment
+	off int64  // bytes of that segment already delivered
+	seq int    // sequence of the last frame delivered: the reader's cursor
 }
 
 // ReplicaRead reads what a reader whose durable state ends at cursor
@@ -39,6 +55,16 @@ type ReplicaBatch struct {
 // the cursor is behind the snapshot, ahead of the durable tail
 // (diverged), or empty.
 //
+// tail, when non-nil, is the reader's position from its previous read.
+// If it still matches — same cursor, same incarnation of the session's
+// files, its segment neither truncated nor compacted — only the records
+// past its byte offset are read and decoded, following a rotation at
+// the cursor into wal-<cursor>. Otherwise, and for a nil tail, the read
+// is a full one (newest snapshot plus its whole WAL). Either way the
+// tail is left positioned after the returned frames. In a directory no
+// writer is changing, the tail read returns exactly what the full read
+// would.
+//
 // The read is lock-free against the writer: the snapshot is immutable
 // once renamed into place, and the WAL file only grows within a
 // generation, so a concurrent append can at worst leave a torn final
@@ -46,10 +72,19 @@ type ReplicaBatch struct {
 // A rotation between the snapshot read and the WAL read yields a
 // shorter (or missing) WAL view for the old generation — also safe, the
 // next round catches up on the new one.
-func (st *Store) ReplicaRead(id string, cursor int) (*ReplicaBatch, error) {
+func (st *Store) ReplicaRead(id string, cursor int, tail *ReplicaTail) (*ReplicaBatch, error) {
 	dir, err := st.sessionDir(id)
 	if err != nil {
 		return nil, err
+	}
+	inc := st.incarnation(id)
+	if tail != nil && tail.inc != 0 && tail.inc == inc && tail.seq == cursor {
+		if b, ok := st.readTail(dir, id, tail); ok {
+			return b, nil
+		}
+	}
+	if tail != nil {
+		*tail = ReplicaTail{}
 	}
 	raw, snap, k, err := st.loadNewestSnapshotRaw(dir)
 	if err != nil {
@@ -59,11 +94,50 @@ func (st *Store) ReplicaRead(id string, cursor int) (*ReplicaBatch, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: replica read %s: %w", id, err)
 	}
-	frames, _, _ := decodeWALStream(data, snap.FramesApplied+1)
-	if cursor >= k && cursor <= k+len(frames) {
-		return &ReplicaBatch{Frames: frames[cursor-k:], FirstSeq: cursor + 1}, nil
+	frames, valid, _ := decodeWALStream(data, snap.FramesApplied+1)
+	if tail != nil {
+		*tail = ReplicaTail{inc: inc, seg: k, off: int64(valid), seq: k + len(frames)}
 	}
-	return &ReplicaBatch{Snapshot: raw, Base: k, Frames: frames, FirstSeq: k + 1}, nil
+	if cursor >= k && cursor <= k+len(frames) {
+		return &ReplicaBatch{Frames: frames[cursor-k:], FirstSeq: cursor + 1, Full: true}, nil
+	}
+	return &ReplicaBatch{Snapshot: raw, Base: k, Frames: frames, FirstSeq: k + 1, Full: true}, nil
+}
+
+// readTail reads the records past t's offset. ok is false when the
+// tail cannot be followed: its segment is gone (compacted after a
+// rotation past the cursor) or shorter than the offset (truncated), or
+// the session's files were replaced meanwhile.
+func (st *Store) readTail(dir, id string, t *ReplicaTail) (b *ReplicaBatch, ok bool) {
+	seg, off := t.seg, t.off
+	if t.seq != seg {
+		// A segment named for the cursor means the writer rotated right
+		// after the last frame delivered: the old segment ends there and
+		// the new one holds everything since.
+		if _, err := os.Stat(filepath.Join(dir, walName(t.seq))); err == nil {
+			seg, off = t.seq, 0
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, walName(seg)))
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil || fi.Size() < off {
+		return nil, false
+	}
+	data := make([]byte, fi.Size()-off)
+	if _, err := f.ReadAt(data, off); err != nil {
+		return nil, false
+	}
+	frames, valid, _ := decodeWALStream(data, t.seq+1)
+	if st.incarnation(id) != t.inc {
+		return nil, false
+	}
+	b = &ReplicaBatch{Frames: frames, FirstSeq: t.seq + 1}
+	t.seg, t.off, t.seq = seg, off+int64(valid), t.seq+len(frames)
+	return b, true
 }
 
 // loadNewestSnapshotRaw is loadNewestSnapshot returning the raw envelope
@@ -127,8 +201,12 @@ func (st *Store) Materialize(id string, snapshot []byte, frames []*trace.Frame) 
 		return fmt.Errorf("store: materialize %s: %w", id, err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		st.untrack(id)
 		return fmt.Errorf("store: materialize %s: %w", id, err)
 	}
+	// A new incarnation: tails positioned in the replaced files fall
+	// back to a full read.
+	st.track(id)
 	k := snap.FramesApplied
 	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
 	if err != nil {

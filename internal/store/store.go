@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"roboads/internal/telemetry"
@@ -83,6 +85,16 @@ type Store struct {
 	// Options.CommitWindow is positive.
 	committer *committer
 
+	// sessions is the in-memory session listing: every session directory
+	// found at Open, created or materialized since, mapped to the
+	// incarnation of its files (a fresh number per Create or
+	// Materialize, so a reader can tell a replaced session from the one
+	// it was tailing). listGen counts changes to the set of IDs.
+	mu       sync.Mutex
+	sessions map[string]uint64
+	lastInc  uint64
+	listGen  atomic.Uint64
+
 	mSnapBytes     *telemetry.Histogram
 	mSnapSeconds   *telemetry.Histogram
 	mAppends       *telemetry.Counter
@@ -127,6 +139,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		mCommitFrames:  reg.Histogram(MetricCommitBatchFrames, "WAL appends amortized per group-commit fsync.", batchBuckets()),
 		mCommitSeconds: reg.Histogram(MetricCommitSeconds, "Group-commit latency in seconds.", telemetry.LatencyBuckets()),
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: list sessions: %w", err)
+	}
+	st.sessions = make(map[string]uint64, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			st.lastInc++
+			st.sessions[e.Name()] = st.lastInc
+		}
+	}
 	if opts.CommitWindow > 0 {
 		st.committer = newCommitter(st, opts.CommitWindow)
 	}
@@ -144,21 +167,55 @@ func (st *Store) SetRecovered(sessions int) { st.mRecovered.Set(float64(sessions
 func (st *Store) CountReplayed(frames int) { st.mReplayed.Add(int64(frames)) }
 
 // Sessions lists the session IDs with a directory under the root,
-// sorted lexically. Presence does not imply recoverability — Recover
-// reports ErrNoSnapshot for directories without a durable checkpoint.
-func (st *Store) Sessions() ([]string, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list sessions: %w", err)
+// sorted lexically. The listing is kept in memory — the directories
+// found at Open plus those this Store created, materialized or removed
+// since — so it costs no directory read. Presence does not imply
+// recoverability: Recover reports ErrNoSnapshot for directories without
+// a durable checkpoint.
+func (st *Store) Sessions() []string {
+	st.mu.Lock()
+	out := make([]string, 0, len(st.sessions))
+	for id := range st.sessions {
+		out = append(out, id)
 	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
-		}
-	}
+	st.mu.Unlock()
 	sort.Strings(out)
-	return out, nil
+	return out
+}
+
+// SessionsGen returns a counter that changes whenever the set of IDs
+// Sessions lists changes. A caller that reads SessionsGen before
+// Sessions and finds it unchanged later knows the listing is too.
+func (st *Store) SessionsGen() uint64 { return st.listGen.Load() }
+
+// track records that id's directory exists with freshly written files.
+func (st *Store) track(id string) {
+	st.mu.Lock()
+	_, known := st.sessions[id]
+	st.lastInc++
+	st.sessions[id] = st.lastInc
+	if !known {
+		st.listGen.Add(1)
+	}
+	st.mu.Unlock()
+}
+
+// untrack records that id's directory is gone.
+func (st *Store) untrack(id string) {
+	st.mu.Lock()
+	if _, known := st.sessions[id]; known {
+		delete(st.sessions, id)
+		st.listGen.Add(1)
+	}
+	st.mu.Unlock()
+}
+
+// incarnation returns the incarnation of id's files; 0 when the store
+// has no directory for id.
+func (st *Store) incarnation(id string) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.sessions[id]
 }
 
 // Remove deletes a session's persisted state entirely (explicit session
@@ -168,7 +225,11 @@ func (st *Store) Remove(id string) error {
 	if err != nil {
 		return err
 	}
-	return os.RemoveAll(dir)
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	st.untrack(id)
+	return nil
 }
 
 // Create opens the durability state for a brand-new session. The
@@ -183,6 +244,7 @@ func (st *Store) Create(id string) (*SessionStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create session %s: %w", id, err)
 	}
+	st.track(id)
 	return &SessionStore{st: st, id: id, dir: dir}, nil
 }
 
